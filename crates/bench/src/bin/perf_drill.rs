@@ -12,6 +12,10 @@
 //!    [`TrainOptions::threads`]; trained parameters must be bitwise equal.
 //! 4. **CrossEM⁺ epoch** — same drill through the PCP/negative-sampling
 //!    path and the shared feature cache.
+//! 5. **CRC-32 kernel** — single-thread throughput of the integrity check
+//!    serving runs on every wave: one ≈100 KB IVF shard (`Shard::verify`)
+//!    and one 4096-float score row (`row_checksum`), as the median and
+//!    median absolute deviation of repeated trials.
 //!
 //! Results land in `BENCH_perf.json`. Honours `--quick`; `--smoke` is the
 //! same scale with the large GEMM sizes dropped (for CI).
@@ -21,6 +25,8 @@ use std::time::Instant;
 
 use cem_bench::{default_plus, prepare, HarnessConfig, PreparedBundle};
 use cem_data::DatasetKind;
+use cem_serve::tiers::row_checksum;
+use cem_serve::ShardedIndex;
 use cem_tensor::{kernels, par};
 use crossem::plus::minibatch::pairwise_proximity;
 use crossem::plus::CrossEmPlus;
@@ -74,6 +80,48 @@ fn bench_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut samples: Vec<f64> = (0..reps).map(|_| time_ms(&mut f)).collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// CRC-32 throughput over one input, in MB/s across trials.
+struct CrcRow {
+    bytes: usize,
+    median: f64,
+    mad: f64,
+}
+
+/// Trials per CRC row; each trial hashes its input about 8 MB over.
+const CRC_TRIALS: usize = 9;
+
+fn drill_crc(bytes: usize, mut hash: impl FnMut() -> u32) -> CrcRow {
+    let reps = (8 << 20) / bytes.max(1) + 1;
+    let mut rates: Vec<f64> = (0..CRC_TRIALS)
+        .map(|_| {
+            let ms = time_ms(|| {
+                for _ in 0..reps {
+                    std::hint::black_box(hash());
+                }
+            });
+            (bytes * reps) as f64 / (ms * 1e3)
+        })
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    let median = rates[CRC_TRIALS / 2];
+    let mut dev: Vec<f64> = rates.iter().map(|r| (r - median).abs()).collect();
+    dev.sort_by(f64::total_cmp);
+    CrcRow { bytes, median, mad: dev[CRC_TRIALS / 2] }
+}
+
+/// CRC-32 over one `serve_ivf`-sized shard (782 images × 32 dims, its
+/// posting list plus embeddings) and one 4096-float score row.
+fn drill_crc_rows() -> (CrcRow, CrcRow) {
+    let (images, dim) = (782, 32);
+    let embeddings = fill(0xc7c, images * dim);
+    let index = ShardedIndex::build(fill(0xc7d, dim), 1, &embeddings, images, dim, 1, 1, 1);
+    let shard = index.shard(0);
+    let shard_row = drill_crc(4 * (images + images * dim), || shard.verify() as u32);
+    let row = fill(0xc7e, 4096);
+    let score_row = drill_crc(4 * row.len(), || row_checksum(std::hint::black_box(&row)));
+    (shard_row, score_row)
 }
 
 struct GemmRow {
@@ -339,6 +387,18 @@ fn main() {
     );
 
     // ---------------------------------------------------------------
+    // Section 5: CRC-32 kernel.
+    // ---------------------------------------------------------------
+    eprintln!("[perf 5] CRC-32 throughput (1 thread) …");
+    let (crc_shard, crc_row) = drill_crc_rows();
+    for (what, row) in [("shard", &crc_shard), ("row", &crc_row)] {
+        eprintln!(
+            "[perf 5] {what} ({} B): {:.0} MB/s (MAD {:.0})",
+            row.bytes, row.median, row.mad
+        );
+    }
+
+    // ---------------------------------------------------------------
     // Summary + BENCH_perf.json
     // ---------------------------------------------------------------
     let obs = cem_obs::global().snapshot().delta_since(&obs_baseline);
@@ -440,6 +500,16 @@ fn main() {
     let _ = writeln!(json, "  \"crossem_plus_epoch_t2_s\": {:.4},", plus_runs[1].seconds);
     let _ = writeln!(json, "  \"crossem_plus_epoch_t4_s\": {:.4},", plus_runs[2].seconds);
     let _ = writeln!(json, "  \"crossem_plus_bit_identical\": {plus_identical},");
+    let _ = writeln!(json, "  \"crc32\": {{");
+    let _ = writeln!(json, "    \"trials\": {CRC_TRIALS},");
+    for (what, row, sep) in [("shard", &crc_shard, ","), ("row", &crc_row, "")] {
+        let _ = writeln!(
+            json,
+            "    \"{what}\": {{\"bytes\": {}, \"mb_per_s_median\": {:.1}, \"mb_per_s_mad\": {:.1}}}{sep}",
+            row.bytes, row.median, row.mad
+        );
+    }
+    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"obs_counters\": {{");
     let _ = writeln!(
         json,

@@ -809,6 +809,7 @@ impl<'a> MatchService<'a> {
         let mut probe_tags: Vec<ProbeTag> = vec![ProbeTag::None; wave.len()];
         if cap == Tier::Full {
             if let Some(shards) = self.source.shards() {
+                cem_obs::span!("serve.match.probe");
                 let soft = states[Component::SoftEncoder.index()];
                 let eligible = (0..wave.len()).filter(|&slot| match soft {
                     BreakerState::Closed => true,
@@ -1253,8 +1254,9 @@ fn attempt_tier(
     }
 }
 
-/// Score `entity` at `tier` over a local copy of the index row, realising
-/// the injected fault on the copy (the shared index stays pristine).
+/// Score `entity` at `tier` over the index row, verifying its checksum on
+/// every attempt. An injected fault that alters the row is realised on a
+/// local copy, so the shared index stays pristine.
 fn score_tier(
     index: &ServeIndex,
     entity: usize,
@@ -1287,30 +1289,34 @@ fn score_tier(
             }
         }
     }
-    let mut row = index.row(tier, entity).to_vec();
-    match fault {
+    let stored = index.row(tier, entity);
+    let faulted: Vec<f32>;
+    let row: &[f32] = match fault {
         // A poisoned encoder emits NaN *output*: the checksum (which covers
         // the stored row, not the computation) has nothing to catch.
         Some(FaultKind::NanFeatures) => {
-            for value in row.iter_mut() {
-                *value = f32::NAN;
-            }
+            faulted = vec![f32::NAN; stored.len()];
+            &faulted
         }
-        // Storage damage: flip one bit of the local copy, then run the
+        // Storage damage: flip one bit of a local copy, then run the
         // integrity check every attempt runs.
         Some(FaultKind::CorruptCache) => {
-            row[0] = f32::from_bits(row[0].to_bits() ^ 1);
-            if !index.verify_row(tier, entity, &row) {
+            let mut copy = stored.to_vec();
+            copy[0] = f32::from_bits(copy[0].to_bits() ^ 1);
+            if !index.verify_row(tier, entity, &copy) {
                 return TierScore::Corrupt;
             }
+            faulted = copy;
+            &faulted
         }
         _ => {
-            if !index.verify_row(tier, entity, &row) {
+            if !index.verify_row(tier, entity, stored) {
                 return TierScore::Corrupt;
             }
+            stored
         }
-    }
-    let ranking = rank_row(&row, top_k);
+    };
+    let ranking = rank_row(row, top_k);
     if let Some(&best) = ranking.first() {
         if !row[best].is_finite() {
             return TierScore::Poisoned;

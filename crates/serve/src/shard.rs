@@ -141,12 +141,8 @@ impl Shard {
 /// CRC-32 over a shard's posting list and embedding payload (LE bytes).
 fn shard_checksum(ids: &[u32], embeddings: &[f32]) -> u32 {
     let mut hasher = cem_tensor::crc::Hasher::new();
-    for &id in ids {
-        hasher.update(&id.to_le_bytes());
-    }
-    for &v in embeddings {
-        hasher.update(&v.to_le_bytes());
-    }
+    hasher.update_u32s(ids);
+    hasher.update_f32s(embeddings);
     hasher.finalize()
 }
 
@@ -323,10 +319,15 @@ impl ShardedIndex {
                 groups.entry(c).or_default().push(slot);
             }
         }
-        for &c in groups.keys() {
-            if !self.shards[c].verify() {
-                return Err(ShardError::Corrupt { shard: c });
-            }
+        let mut verify_bytes = 0u64;
+        let corrupt = groups.keys().copied().find(|&c| {
+            let shard = &self.shards[c];
+            verify_bytes += 4 * (shard.ids.len() + shard.embeddings.len()) as u64;
+            !shard.verify()
+        });
+        cem_obs::counter_add!("serve.shard.verify_bytes", verify_bytes);
+        if let Some(shard) = corrupt {
+            return Err(ShardError::Corrupt { shard });
         }
         let mut candidates: Vec<Vec<(u32, f32)>> = entities
             .iter()
@@ -696,6 +697,18 @@ mod tests {
         let embeddings = blobs(images, dim, 5, 11);
         let queries = blobs(entities, dim, 5, 12);
         ShardedIndex::build(queries, entities, &embeddings, images, dim, 5, 12, 7)
+    }
+
+    #[test]
+    fn shard_checksum_matches_pinned_digest() {
+        // Digest computed by the byte-at-a-time CRC-32 with one `update`
+        // per id and per float; the slicing kernel must reproduce it so
+        // stored shard CRCs stay valid.
+        let ids: Vec<u32> = vec![3, 7, 11, 20, 42];
+        let embeddings: Vec<f32> = (0..15).map(|i| (i as f32 - 7.5) * 0.125).collect();
+        let shard = Shard::new(ids, embeddings, 3);
+        assert_eq!(shard.crc(), 0x8571_8D44);
+        assert!(shard.verify());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use cem_clip::{Clip, Image, Tokenizer};
 use cem_data::EmDataset;
-use cem_tensor::crc::crc32;
+use cem_tensor::crc::Hasher;
 use cem_tensor::{no_grad, Tensor};
 use crossem::prompt::{baseline_prompt, hard_prompt, HardPromptOptions};
 use crossem::FeatureCache;
@@ -141,11 +141,9 @@ impl ServeIndex {
 
 /// CRC-32 over a score row's little-endian f32 bytes.
 pub fn row_checksum(row: &[f32]) -> u32 {
-    let mut bytes = Vec::with_capacity(row.len() * 4);
-    for v in row {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    crc32(&bytes)
+    let mut hasher = Hasher::new();
+    hasher.update_f32s(row);
+    hasher.finalize()
 }
 
 /// Score every entity prompt against every image with the frozen dual
@@ -228,6 +226,22 @@ mod tests {
         let index = tiny_index();
         assert_eq!(index.row(Tier::Full, 1), &[3.0, 4.0, 5.0]);
         assert_eq!(index.row(Tier::Zero, 0), &[30.0, 31.0, 32.0]);
+    }
+
+    #[test]
+    fn row_checksums_match_pinned_digests() {
+        // Digests computed by the byte-at-a-time CRC-32 over a heap copy of
+        // each row's LE bytes; the bulk f32 feed must reproduce them so
+        // stored row CRCs stay valid.
+        let images = 1027;
+        let tier = |t: usize| -> Vec<f32> {
+            (0..2 * images)
+                .map(|i| ((i * 31 + t * 7) % 97) as f32 * 0.37 - 1.0 + t as f32)
+                .collect()
+        };
+        let index = ServeIndex::new(2, images, [tier(0), tier(1), tier(2), tier(3)]);
+        assert_eq!(index.row_crc(Tier::Full, 1), 0xF5F1_9DCB);
+        assert_eq!(index.row_crc(Tier::Zero, 0), 0xF894_D6CA);
     }
 
     #[test]

@@ -1,15 +1,28 @@
 //! CRC-32 (IEEE 802.3, polynomial 0xEDB88320) used by the CEMT v2
-//! checkpoint container for per-entry and whole-file integrity checks.
+//! checkpoint container for per-entry and whole-file integrity checks, and
+//! by the serving layer for per-row and per-shard checks.
 //!
 //! Table-driven and dependency-free. CRC-32 detects every burst error up to
 //! 32 bits, so any single flipped or dropped byte in a checkpoint payload is
 //! guaranteed to be caught.
+//!
+//! The kernel is slicing-by-16: sixteen 256-entry tables, built at compile
+//! time, fold 16 input bytes per step with 16 independent lookups instead
+//! of one dependent lookup per byte. Polynomial, initial value and final
+//! xor are those of the classic byte-at-a-time loop, so every digest — and
+//! with it every stored CEMT file, generation, shard and row checksum — is
+//! unchanged (the tests pin digests computed by the byte-at-a-time form).
+//!
+//! [`Hasher::update_u32s`] and [`Hasher::update_f32s`] feed typed slices as
+//! their little-endian bytes straight into the kernel, four words per step,
+//! with no per-value call and no byte copy.
 
-/// Lookup table for one byte of input, built at compile time.
-const TABLE: [u32; 256] = build_table();
+/// `TABLES[0]` is the byte-at-a-time table; `TABLES[k][b]` is the CRC
+/// contribution of byte `b` followed by `k` zero bytes.
+static TABLES: [[u32; 256]; 16] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -18,14 +31,60 @@ const fn build_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// Incremental CRC-32 state. Feed bytes with [`Hasher::update`], read the
-/// digest with [`Hasher::finalize`].
+/// Fold 16 input bytes, given as four little-endian words, into `crc`.
+/// Byte `j` of the block still has `15 - j` bytes to pass through, so it
+/// looks up `TABLES[15 - j]`.
+#[inline(always)]
+fn fold16(crc: u32, words: [u32; 4]) -> u32 {
+    let mut out = 0;
+    for (w, &word) in words.iter().enumerate() {
+        let word = if w == 0 { word ^ crc } else { word };
+        for b in 0..4 {
+            out ^= lookup(&TABLES[15 - 4 * w - b], (word >> (8 * b)) as u8);
+        }
+    }
+    out
+}
+
+/// One table load, kept scalar. With AVX-512 enabled (`target-cpu=native`
+/// on a recent Xeon) LLVM otherwise turns the sixteen independent loads of
+/// [`fold16`] into gather instructions, which ran the kernel at 0.7 GB/s
+/// against 1.7 GB/s for plain loads on a 2-vCPU Xeon VM. A volatile read
+/// is an ordinary load the optimiser may not merge or vectorise.
+#[inline(always)]
+fn lookup(table: &'static [u32; 256], byte: u8) -> u32 {
+    // SAFETY: the reference is to an element of a static array, so it is
+    // valid, aligned and never written.
+    unsafe { std::ptr::read_volatile(&table[byte as usize]) }
+}
+
+/// The byte-at-a-time step, for tails shorter than one 16-byte block.
+#[inline(always)]
+fn fold_bytes(mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc = (crc >> 8) ^ TABLES[0][(crc as u8 ^ b) as usize];
+    }
+    crc
+}
+
+/// Incremental CRC-32 state. Feed bytes with [`Hasher::update`] (or typed
+/// slices with the bulk feeds), read the digest with [`Hasher::finalize`].
 #[derive(Debug, Clone)]
 pub struct Hasher {
     state: u32,
@@ -43,10 +102,54 @@ impl Hasher {
     }
 
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let idx = ((self.state ^ b as u32) & 0xFF) as usize;
-            self.state = (self.state >> 8) ^ TABLE[idx];
+        let mut blocks = bytes.chunks_exact(16);
+        let mut crc = self.state;
+        for block in &mut blocks {
+            crc = fold16(
+                crc,
+                std::array::from_fn(|w| {
+                    u32::from_le_bytes([
+                        block[4 * w],
+                        block[4 * w + 1],
+                        block[4 * w + 2],
+                        block[4 * w + 3],
+                    ])
+                }),
+            );
         }
+        self.state = fold_bytes(crc, blocks.remainder());
+    }
+
+    /// Feed `values` as their little-endian bytes; equal to `update` over
+    /// the concatenated `to_le_bytes`.
+    pub fn update_u32s(&mut self, values: &[u32]) {
+        self.update_words(values, |v| v);
+    }
+
+    /// Feed `values` as their little-endian bytes; equal to `update` over
+    /// the concatenated `to_le_bytes`.
+    pub fn update_f32s(&mut self, values: &[f32]) {
+        self.update_words(values, f32::to_bits);
+    }
+
+    /// Feed `values` as their big-endian bytes; equal to `update` over the
+    /// concatenated `to_be_bytes`.
+    pub fn update_f32s_be(&mut self, values: &[f32]) {
+        self.update_words(values, |v| v.to_bits().swap_bytes());
+    }
+
+    /// Feed 32-bit words whose little-endian bytes are the input stream.
+    #[inline(always)]
+    fn update_words<T: Copy>(&mut self, values: &[T], word: impl Fn(T) -> u32) {
+        let mut blocks = values.chunks_exact(4);
+        let mut crc = self.state;
+        for block in &mut blocks {
+            crc = fold16(crc, [word(block[0]), word(block[1]), word(block[2]), word(block[3])]);
+        }
+        for &v in blocks.remainder() {
+            crc = fold_bytes(crc, &word(v).to_le_bytes());
+        }
+        self.state = crc;
     }
 
     pub fn finalize(&self) -> u32 {
@@ -65,12 +168,39 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time loop this module used before slicing-by-16, kept
+    /// as the reference the kernel must agree with.
+    fn reference(bytes: &[u8]) -> u32 {
+        let mut state = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            state = (state >> 8) ^ TABLES[0][((state ^ b as u32) & 0xFF) as usize];
+        }
+        state ^ 0xFFFF_FFFF
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i.wrapping_mul(131) ^ (i >> 3)) as u8).collect()
+    }
+
     #[test]
     fn known_vectors() {
         // Standard check value for the ASCII digits "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        // Longer than one 16-byte block, with a tail.
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    #[test]
+    fn slicing_kernel_matches_byte_at_a_time_reference() {
+        let bytes = pattern(1000);
+        for len in 0..bytes.len() {
+            assert_eq!(crc32(&bytes[..len]), reference(&bytes[..len]), "len {len}");
+        }
+        for start in 1..16 {
+            assert_eq!(crc32(&bytes[start..]), reference(&bytes[start..]), "offset {start}");
+        }
     }
 
     #[test]
